@@ -24,7 +24,9 @@
 use crate::ast::{Atom, VarId};
 use cqapx_par::{parallel_chunks, parallel_map, DisjointWriter, ThreadBudget};
 use cqapx_structures::fxhash::{FxHashMap, FxHasher};
-use cqapx_structures::packed::{pack2, radix_dedup, radix_dedup_u32, radix_sort_pairs};
+use cqapx_structures::packed::{
+    code_bits, pack2, radix_dedup, radix_dedup_u32, radix_sort_pairs, RowPacking,
+};
 use cqapx_structures::{DomainBitmap, DomainDict, Element, RelId, Structure};
 use std::collections::{BTreeSet, VecDeque};
 use std::hash::Hasher;
@@ -899,10 +901,7 @@ impl FlatRelation {
             return;
         }
         // Bits covering every code: codes are `< domain_width ≤ 2^b`.
-        let b = match self.domain_width {
-            0 | 1 => 0,
-            w => 32 - (w - 1).leading_zeros(),
-        };
+        let b = code_bits(self.domain_width);
         if 2 * b <= 32 {
             let mut keys = self.build_words32(b);
             radix_dedup_u32(&mut keys);
@@ -964,10 +963,7 @@ impl FlatRelation {
             }
             [k0, k1] => {
                 // Bits covering every code (see `sort_dedup_radix`).
-                let b = match out.domain_width {
-                    0 | 1 => 0,
-                    w => 32 - (w - 1).leading_zeros(),
-                };
+                let b = code_bits(out.domain_width);
                 if 2 * b <= 32 {
                     let mut keys: Vec<u32> = (0..n)
                         .map(|i| (self.data[i * a + k0] << b) | self.data[i * a + k1])
@@ -1742,30 +1738,93 @@ impl FlatRelation {
         out
     }
 
-    /// Reads the rows out in the order of an explicit head (duplicated
-    /// head variables allowed).
-    pub fn rows_in_head_order(&self, head: &[VarId]) -> BTreeSet<Vec<Element>> {
-        let map: FxHashMap<VarId, usize> = self
-            .schema
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i))
-            .collect();
-        let positions: Vec<usize> = head
-            .iter()
-            .map(|v| *map.get(v).expect("head variable must be in schema"))
-            .collect();
+    /// The column of each head variable (duplicated head variables
+    /// allowed).
+    fn head_positions(&self, head: &[VarId]) -> Vec<usize> {
+        head.iter()
+            .map(|v| {
+                self.schema
+                    .iter()
+                    .position(|w| w == v)
+                    .expect("head variable must be in schema")
+            })
+            .collect()
+    }
+
+    /// The **answer boundary**: the rows read out in the order of an
+    /// explicit head (duplicated head variables allowed), decoded
+    /// through the structure's dictionary into a set of answer tuples.
+    /// Relations materialized from a structure hold dense domain codes,
+    /// and this is the one place where codes turn back into elements.
+    ///
+    /// One pass, whatever order the rows arrive in:
+    ///
+    /// 1. **Gather** the head columns of every row. When the head row
+    ///    fits one word at the relation's tight code width
+    ///    ([`RowPacking`]: a dense-domain bound and `k · bits ≤ 64`),
+    ///    each row is packed straight into a `u64`; otherwise the
+    ///    columns are copied into one flat buffer.
+    /// 2. **Sort and dedup** in code space: words by
+    ///    [`radix_dedup`] (which skips the sort on input already in
+    ///    order), flat rows by slice comparison over row indices. Both
+    ///    orders are lexicographic code order, since the packing is
+    ///    monotone.
+    /// 3. **Decode and build**: each distinct row is decoded once (no
+    ///    lookup for an identity dictionary) and the set is bulk-built
+    ///    from the sorted, distinct rows in one `collect`. The
+    ///    dictionary is monotone, so decoded rows stay sorted and the
+    ///    build never re-sorts.
+    pub(crate) fn decode_answers(
+        &self,
+        head: &[VarId],
+        dict: &DomainDict,
+    ) -> BTreeSet<Vec<Element>> {
+        let positions = self.head_positions(head);
+        let (a, k) = (self.schema.len(), positions.len());
+        let identity = dict.is_identity();
+        let decode = |c: Element| if identity { c } else { dict.decode(c) };
+        let packing = match self.domain_width {
+            0 => None,
+            w => RowPacking::new(k, code_bits(w)),
+        };
+        if let Some(packing) = packing {
+            let mut words: Vec<u64> = (0..self.rows)
+                .map(|r| packing.pack(positions.iter().map(|&p| self.data[r * a + p])))
+                .collect();
+            radix_dedup(&mut words);
+            return words
+                .into_iter()
+                .map(|w| packing.unpack(w).map(decode).collect())
+                .collect();
+        }
+        let mut flat: Vec<Element> = Vec::with_capacity(self.rows * k);
+        for r in 0..self.rows {
+            flat.extend(positions.iter().map(|&p| self.data[r * a + p]));
+        }
+        let row = |i: u32| &flat[i as usize * k..][..k];
+        let mut idx: Vec<u32> = (0..self.rows as u32).collect();
+        idx.sort_unstable_by(|&x, &y| row(x).cmp(row(y)));
+        idx.dedup_by(|x, y| row(*x) == row(*y));
+        idx.into_iter()
+            .map(|i| row(i).iter().map(|&c| decode(c)).collect())
+            .collect()
+    }
+
+    /// The rows in head order as raw codes, collected row by row into
+    /// a set — the pre-boundary read-out, kept as a test oracle.
+    #[cfg(test)]
+    pub(crate) fn rows_in_head_order(&self, head: &[VarId]) -> BTreeSet<Vec<Element>> {
+        let positions = self.head_positions(head);
         self.iter_rows()
             .map(|r| positions.iter().map(|&p| r[p]).collect())
             .collect()
     }
 
-    /// [`FlatRelation::rows_in_head_order`] with the dictionary decode
-    /// applied: relations materialized from a structure hold dense
-    /// domain codes, and this is the one boundary where codes turn back
-    /// into the structure's elements. A no-op (bit-identical) when the
-    /// dictionary encodes identically.
-    pub fn rows_in_head_order_decoded(
+    /// The former two-step boundary — read out into a set, then decode
+    /// into a second set — kept as the oracle [`FlatRelation::decode_answers`]
+    /// is checked against.
+    #[cfg(test)]
+    pub(crate) fn rows_in_head_order_decoded(
         &self,
         head: &[VarId],
         dict: &DomainDict,
@@ -1773,8 +1832,6 @@ impl FlatRelation {
         if dict.is_identity() {
             return self.rows_in_head_order(head);
         }
-        // The encoding is monotone, so decoding per row preserves the
-        // set (and even the canonical order) exactly.
         self.rows_in_head_order(head)
             .into_iter()
             .map(|row| row.into_iter().map(|c| dict.decode(c)).collect())
@@ -3670,13 +3727,151 @@ mod tests {
         assert_eq!(out.domain_width(), 3);
         assert_eq!(out.row(0), &[0, 1]); // (1,3) encoded
         assert_eq!(out.row(1), &[1, 2]); // (3,5) encoded
-        let decoded = out.rows_in_head_order_decoded(&[0, 1], dict);
+        let decoded = out.decode_answers(&[0, 1], dict);
         assert_eq!(
             decoded,
             [vec![1, 3], vec![3, 5]]
                 .into_iter()
                 .collect::<BTreeSet<_>>()
         );
+    }
+
+    // ── the answer boundary ─────────────────────────────────────────
+
+    /// The dictionaries the boundary tests decode through: identity
+    /// and non-identity, small and past the one-word packing limit of
+    /// five 13-bit columns. The non-identity ones leave every odd
+    /// element isolated, so interior elements are missing from the
+    /// active domain (code `c` decodes to `2c`).
+    fn boundary_dicts() -> &'static [Structure; 4] {
+        static DICTS: OnceLock<[Structure; 4]> = OnceLock::new();
+        DICTS.get_or_init(|| {
+            let path = |n: u32, step: u32| -> Vec<(u32, u32)> {
+                (0..n - 1).map(|i| (i * step, (i + 1) * step)).collect()
+            };
+            [
+                Structure::digraph(40, &path(40, 1)),
+                Structure::digraph(80, &path(40, 2)),
+                Structure::digraph(5000, &path(5000, 1)),
+                Structure::digraph(10_000, &path(5000, 2)),
+            ]
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(400))]
+
+        /// The one-pass boundary equals the former two-step read-out
+        /// (set of raw rows, then a second set of decoded rows) on
+        /// unsorted relations with duplicates, over arities 0–5,
+        /// permuted and duplicated heads, identity and non-identity
+        /// dictionaries, and width bounds that take either the packed
+        /// or the unpacked arm.
+        #[test]
+        fn decode_answers_matches_two_step_oracle(
+            dict_pick in 0..4usize,
+            arity in 0..=5usize,
+            width_pick in 0..3u8,
+            pool in 1..12u64,
+            cells in proptest::collection::vec(proptest::arbitrary::any::<u64>(), 0..300),
+            head_picks in proptest::collection::vec(proptest::arbitrary::any::<u64>(), 0..=6),
+        ) {
+            let d = &boundary_dicts()[dict_pick];
+            let dict = d.domain_dict();
+            let len = dict.len() as u64;
+            // Distinct, non-contiguous schema variables in a scrambled
+            // order, so head positions differ from variable ids.
+            let schema: Vec<VarId> = (0..arity as VarId).map(|i| (i * 7 + 3) % 11 + 20).collect();
+            let mut r = FlatRelation::empty(schema.clone());
+            // Codes from a small pool of the dictionary's range: many
+            // duplicate rows, including the largest code.
+            let code = |x: u64| ((x % pool) * (len - 1) / (pool - 1).max(1)) as Element;
+            if arity == 0 {
+                for _ in 0..cells.len() % 3 {
+                    r.push_row(&[]);
+                }
+            } else {
+                for row in cells.chunks_exact(arity) {
+                    let row: Vec<Element> = row.iter().map(|&x| code(x)).collect();
+                    r.push_row(&row);
+                }
+            }
+            // No bound, the tight bound, or a loose bound too wide to
+            // pack three or more columns.
+            r.domain_width = match width_pick {
+                0 => 0,
+                1 => len as u32,
+                _ => 1 << 22,
+            };
+            let head: Vec<VarId> = if arity == 0 {
+                Vec::new()
+            } else {
+                head_picks.iter().map(|&h| schema[(h % arity as u64) as usize]).collect()
+            };
+            proptest::prop_assert_eq!(
+                r.decode_answers(&head, dict),
+                r.rows_in_head_order_decoded(&head, dict),
+                "dict {} arity {} width {} head {:?}",
+                dict_pick,
+                arity,
+                r.domain_width,
+                head
+            );
+        }
+    }
+
+    /// Both arms of the boundary are taken by the oracle test's
+    /// shapes: a tight bound packs up to five 13-bit columns, a
+    /// missing bound or a row wider than a word does not.
+    #[test]
+    fn decode_answers_arms_cover_the_packing_limit() {
+        assert_eq!(code_bits(5000), 13);
+        assert!(RowPacking::new(4, code_bits(5000)).is_some());
+        assert!(RowPacking::new(5, code_bits(5000)).is_none());
+        assert!(RowPacking::new(3, code_bits(1 << 22)).is_none());
+        assert!(RowPacking::new(2, code_bits(1 << 22)).is_some());
+        // An unsorted, duplicated 5-column relation through the
+        // unpacked arm with a non-identity dictionary.
+        let d = &boundary_dicts()[3];
+        let dict = d.domain_dict();
+        let mut r = FlatRelation::empty(vec![4, 3, 2, 1, 0]);
+        for row in [
+            [4999, 0, 1, 2, 3],
+            [0, 0, 0, 0, 0],
+            [4999, 0, 1, 2, 3],
+            [7, 7, 7, 7, 4999],
+        ] {
+            r.push_row(&row);
+        }
+        r.domain_width = 5000;
+        let got = r.decode_answers(&[0, 4, 0], dict);
+        let want: BTreeSet<Vec<Element>> = [vec![0, 0, 0], vec![6, 9998, 6], vec![9998, 14, 9998]]
+            .into_iter()
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(got, r.rows_in_head_order_decoded(&[0, 4, 0], dict));
+    }
+
+    /// A 0-ary relation answers `{()}` when it holds a row and `{}`
+    /// when it does not, under both arms.
+    #[test]
+    fn decode_answers_nullary() {
+        let dict = boundary_dicts()[1].domain_dict();
+        for width in [0, 40] {
+            let mut r = FlatRelation::empty(Vec::new());
+            r.domain_width = width;
+            assert!(r.decode_answers(&[], dict).is_empty());
+            r.push_row(&[]);
+            r.push_row(&[]);
+            assert_eq!(r.decode_answers(&[], dict), BTreeSet::from([Vec::new()]));
+        }
+        // An empty head over a nonempty wider relation is the Boolean
+        // projection.
+        let mut r = FlatRelation::empty(vec![0, 1]);
+        r.push_row(&[1, 2]);
+        r.push_row(&[3, 4]);
+        r.domain_width = 40;
+        assert_eq!(r.decode_answers(&[], dict), BTreeSet::from([Vec::new()]));
     }
 
     // ── byte-accounted eviction ─────────────────────────────────────

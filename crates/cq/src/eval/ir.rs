@@ -36,7 +36,7 @@ use crate::eval::flat::{
     MatCacheStats, MatKey, MaterializationCache,
 };
 use cqapx_par::{parallel_map, ThreadBudget};
-use cqapx_structures::{DomainBitmap, Structure};
+use cqapx_structures::{DomainBitmap, Element, Structure};
 use std::collections::BTreeSet;
 
 /// Index of a relation slot in a [`PlanIr`] program.
@@ -872,6 +872,37 @@ impl PlanIr {
             return (None, stats);
         }
         (slots[self.output].take(), stats)
+    }
+
+    /// The answer set of the program over an explicit head: for an
+    /// empty head, the Boolean run's verdict as `{()}` or `{}`;
+    /// otherwise the full run's output slot through the answer
+    /// boundary [`FlatRelation::decode_answers`], which turns the
+    /// plan's dense codes back into the structure's elements. Both
+    /// compiled plans end here.
+    pub(crate) fn answers_budget_profiled(
+        &self,
+        head: &[VarId],
+        d: &Structure,
+        cache: Option<&MaterializationCache>,
+        budget: &ThreadBudget,
+        profile: Option<&mut EvalProfile>,
+    ) -> (BTreeSet<Vec<Element>>, MatCacheStats) {
+        if head.is_empty() {
+            let (nonempty, stats) = self.run_boolean_budget_profiled(d, cache, budget, profile);
+            // Nonempty after the decisive run: the single empty tuple.
+            let out = if nonempty {
+                BTreeSet::from([Vec::new()])
+            } else {
+                BTreeSet::new()
+            };
+            return (out, stats);
+        }
+        let (result, stats) = self.run_budget_profiled(d, cache, budget, profile);
+        let answers = result.map_or_else(BTreeSet::new, |rel| {
+            rel.decode_answers(head, d.domain_dict())
+        });
+        (answers, stats)
     }
 
     /// Decides whether the answer is nonempty, running only as much of

@@ -184,27 +184,8 @@ impl AcyclicPlan {
         budget: &ThreadBudget,
         profile: Option<&mut crate::eval::EvalProfile>,
     ) -> (BTreeSet<Vec<Element>>, MatCacheStats) {
-        if self.query.is_boolean() {
-            let (nonempty, stats) = self
-                .ir
-                .run_boolean_budget_profiled(d, cache, budget, profile);
-            let mut out = BTreeSet::new();
-            if nonempty {
-                // Nonempty after full reduction: the single empty tuple.
-                out.insert(Vec::new());
-            }
-            return (out, stats);
-        }
-        let (result, stats) = self.ir.run_budget_profiled(d, cache, budget, profile);
-        match result {
-            None => (BTreeSet::new(), stats),
-            // Plan intermediates hold dense domain codes; the answer
-            // boundary decodes them back to the structure's elements.
-            Some(rel) => (
-                rel.rows_in_head_order_decoded(self.query.free_vars(), d.domain_dict()),
-                stats,
-            ),
-        }
+        self.ir
+            .answers_budget_profiled(self.query.free_vars(), d, cache, budget, profile)
     }
 }
 

@@ -1105,12 +1105,14 @@ impl Engine {
                                 Some(cached) => {
                                     let mut answers = exact;
                                     for e in &cached.evaluators {
-                                        let (certain, mstats) = e.eval_with_cache(
+                                        let (mut certain, mstats) = e.eval_with_cache(
                                             &d.structure,
                                             &d.materialized,
                                             &self.budget,
                                         );
-                                        answers.extend(certain);
+                                        // A linear merge of two sorted
+                                        // sets, not a per-row insert.
+                                        answers.append(&mut certain);
                                         mat_cache.add(mstats);
                                     }
                                     (answers, ResponseStatus::TimedOut, Some(true))
@@ -1263,8 +1265,11 @@ impl Engine {
         let mut answers: BTreeSet<Vec<Element>> = BTreeSet::new();
         let mut mat = MatCacheStats::default();
         for e in &cached.evaluators {
-            let (certain, mstats) = e.eval_with_cache(&d.structure, &d.materialized, &self.budget);
-            answers.extend(certain);
+            let (mut certain, mstats) =
+                e.eval_with_cache(&d.structure, &d.materialized, &self.budget);
+            // Into an empty set `append` moves the first evaluator's set
+            // whole; later ones merge in linearly.
+            answers.append(&mut certain);
             mat.add(mstats);
         }
         (answers, hit, mat)

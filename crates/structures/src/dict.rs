@@ -33,9 +33,10 @@ pub struct DomainDict {
     /// `codes[e]` is the code of element `e`, or [`NO_CODE`] when `e` is
     /// not active. Length = universe size.
     codes: Vec<u32>,
-    /// `true` when `encode` is the identity on active elements (the
-    /// common case: a universe that *is* the active domain, or only has
-    /// trailing isolated elements).
+    /// `true` when `encode` is the identity on active elements: a
+    /// universe that *is* the active domain, or only has trailing
+    /// isolated elements. Any isolated element below an active one
+    /// breaks it, which random graphs often have.
     identity: bool,
 }
 

@@ -1,9 +1,11 @@
-//! Packed **code-word rows**: two dense codes in one `u64`, plus the
-//! LSB radix sorts the packed kernels run on.
+//! Packed **code-word rows**: two dense codes in one `u64` ([`pack2`]),
+//! or any `k` codes of `b` bits each with `k · b ≤ 64`
+//! ([`RowPacking`]), plus the LSB radix sorts the packed kernels run on.
 //!
 //! [`crate::dict::DomainDict`] interns the active domain into dense
 //! `u32` codes, so a row (or join key) spanning at most two coded
-//! columns fits in a single machine word, `hi << 32 | lo`. The packing
+//! columns fits in a single machine word, `hi << 32 | lo`, and a wider
+//! row over a small domain still fits at its tight bit width. The packing
 //! is injective and **monotone**: the numeric order of packed words is
 //! exactly the lexicographic order of `[hi, lo]` rows, which is what
 //! lets a radix sort over words replace the comparison sort on the
@@ -38,6 +40,56 @@ pub const fn pack2(hi: Element, lo: Element) -> u64 {
 #[inline]
 pub const fn unpack2(w: u64) -> (Element, Element) {
     ((w >> 32) as Element, w as Element)
+}
+
+/// Bits per column covering every dense code `< width`: the tight
+/// per-column shift of packed words (`0` for a width of 0 or 1, where
+/// the only code is `0`).
+#[inline]
+pub const fn code_bits(width: u32) -> u32 {
+    match width {
+        0 | 1 => 0,
+        w => 32 - (w - 1).leading_zeros(),
+    }
+}
+
+/// The layout of a `k`-column row of `b`-bit codes in one `u64` word:
+/// column 0 in the highest bits, each later column `b` bits lower.
+/// Like [`pack2`] the packing is injective and **monotone** — numeric
+/// word order is lexicographic row order — for any codes `< 2^b`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowPacking {
+    cols: usize,
+    bits: u32,
+}
+
+impl RowPacking {
+    /// The layout of `cols` columns at `bits` bits each, or `None` when
+    /// the row does not fit one word (`cols · bits > 64`) or a column
+    /// is wider than a code (`bits > 32`). Zero columns (the 0-ary row)
+    /// and zero bits (a one-code domain) pack every row into `0`.
+    pub const fn new(cols: usize, bits: u32) -> Option<RowPacking> {
+        if bits > 32 || cols.saturating_mul(bits as usize) > 64 {
+            return None;
+        }
+        Some(RowPacking { cols, bits })
+    }
+
+    /// Packs one row given as its `cols` codes in column order; every
+    /// code must be `< 2^bits`.
+    #[inline]
+    pub fn pack(&self, row: impl IntoIterator<Item = Element>) -> u64 {
+        row.into_iter().fold(0, |w, c| (w << self.bits) | c as u64)
+    }
+
+    /// Inverse of [`RowPacking::pack`]: the row's codes in column
+    /// order.
+    #[inline]
+    pub fn unpack(&self, w: u64) -> impl ExactSizeIterator<Item = Element> {
+        let (bits, last) = (self.bits as usize, self.cols.saturating_sub(1));
+        let mask = (1u64 << self.bits) - 1;
+        (0..self.cols).map(move |i| ((w >> ((last - i) * bits)) & mask) as Element)
+    }
 }
 
 /// The OR of all keys: a zero digit here means the digit is zero in
@@ -223,6 +275,124 @@ mod tests {
         let mut by_word = rows;
         by_word.sort_unstable_by_key(|r| pack2(r[0], r[1]));
         assert_eq!(by_row, by_word, "word order must equal row order");
+    }
+
+    #[test]
+    fn code_bits_covers_width() {
+        assert_eq!(code_bits(0), 0);
+        assert_eq!(code_bits(1), 0);
+        assert_eq!(code_bits(2), 1);
+        assert_eq!(code_bits(3), 2);
+        assert_eq!(code_bits(256), 8);
+        assert_eq!(code_bits(257), 9);
+        assert_eq!(code_bits(u32::MAX), 32);
+        for w in 2..2000u32 {
+            let b = code_bits(w);
+            assert!((w - 1) >> b == 0, "code {} must fit {b} bits", w - 1);
+            assert!(
+                b == 0 || (w - 1) >> (b - 1) != 0,
+                "{b} bits is tight for {w}"
+            );
+        }
+    }
+
+    #[test]
+    fn row_packing_round_trips() {
+        for (cols, bits) in [(1, 32), (2, 32), (3, 21), (4, 16), (5, 12), (8, 8), (64, 1)] {
+            let p = RowPacking::new(cols, bits).expect("fits one word");
+            let mask = if bits == 32 {
+                u32::MAX
+            } else {
+                (1 << bits) - 1
+            };
+            let mut vals = stream(cols as u64 * 31 + bits as u64);
+            for _ in 0..200 {
+                let row: Vec<Element> = (0..cols)
+                    .map(|_| vals.next().unwrap() as Element & mask)
+                    .collect();
+                let w = p.pack(row.iter().copied());
+                assert_eq!(p.unpack(w).collect::<Vec<_>>(), row, "k={cols} b={bits}");
+            }
+            // The extreme codes survive too.
+            let top = vec![mask; cols];
+            assert_eq!(
+                p.unpack(p.pack(top.iter().copied())).collect::<Vec<_>>(),
+                top
+            );
+        }
+    }
+
+    #[test]
+    fn row_packing_is_monotone_for_every_fitting_width() {
+        for bits in 1..=32u32 {
+            let widest = 64 / bits as usize;
+            assert_eq!(RowPacking::new(widest + 1, bits), None, "b={bits}");
+            for cols in 1..=widest {
+                let p = RowPacking::new(cols, bits).expect("k·b ≤ 64 fits one word");
+                // Few distinct values per column, including the
+                // largest code, so equal prefixes are common.
+                let top = if bits == 32 {
+                    u32::MAX
+                } else {
+                    (1 << bits) - 1
+                };
+                let choices = [0, 1.min(top), top / 2, top];
+                let mut vals = stream(cols as u64 * 97 + bits as u64);
+                let rows: Vec<Vec<Element>> = (0..100)
+                    .map(|_| {
+                        (0..cols)
+                            .map(|_| choices[(vals.next().unwrap() % 4) as usize])
+                            .collect()
+                    })
+                    .collect();
+                let mut by_row = rows.clone();
+                by_row.sort();
+                let mut by_word = rows;
+                by_word.sort_by_key(|r| p.pack(r.iter().copied()));
+                assert_eq!(
+                    by_row, by_word,
+                    "word order must be row order, k={cols} b={bits}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn row_packing_declines_wider_than_a_word() {
+        assert_eq!(RowPacking::new(3, 22), None);
+        assert_eq!(RowPacking::new(5, 13), None);
+        assert_eq!(RowPacking::new(65, 1), None);
+        assert_eq!(
+            RowPacking::new(1, 33),
+            None,
+            "no column is wider than a code"
+        );
+        assert_eq!(RowPacking::new(usize::MAX, 2), None);
+        assert!(RowPacking::new(3, 21).is_some());
+        assert!(RowPacking::new(64, 1).is_some());
+    }
+
+    #[test]
+    fn row_packing_edge_cases() {
+        // The 0-ary row packs to 0 and unpacks to nothing, at any width.
+        for bits in [0, 1, 32] {
+            let p = RowPacking::new(0, bits).unwrap();
+            assert_eq!(p.pack(std::iter::empty()), 0);
+            assert_eq!(p.unpack(0).len(), 0);
+        }
+        // A one-code domain (0 bits) packs every row of zeros into 0.
+        let p = RowPacking::new(1000, 0).unwrap();
+        assert_eq!(p.pack(vec![0; 1000]), 0);
+        assert_eq!(p.unpack(0).collect::<Vec<_>>(), vec![0; 1000]);
+        // One column is the code itself.
+        let p = RowPacking::new(1, 32).unwrap();
+        for c in [0, 7, u32::MAX] {
+            assert_eq!(p.pack([c]), c as u64);
+            assert_eq!(p.unpack(c as u64).collect::<Vec<_>>(), vec![c]);
+        }
+        // Two 32-bit columns are exactly `pack2`.
+        let p = RowPacking::new(2, 32).unwrap();
+        assert_eq!(p.pack([3, u32::MAX]), pack2(3, u32::MAX));
     }
 
     #[test]
