@@ -68,6 +68,10 @@ pub struct BagPart {
     pub key: MatKey,
     /// Sorted distinct variables of the part (for the strategy model).
     pub schema: Vec<VarId>,
+    /// The part's variables as bits of the bag label (bit `i` is the
+    /// label's `i`-th smallest variable), for the planner's edge-cover
+    /// bound; `0` when the label has more than 64 variables.
+    pub var_mask: u64,
 }
 
 /// Cost-model inputs of one bag, exposed for the planner: the bag size,
@@ -82,6 +86,17 @@ pub struct BagSummary {
     pub strategy: MatStrategy,
     /// The sub-hyperedges joined inside the bag.
     pub parts: Vec<BagPart>,
+}
+
+/// The bits of `vars` within the sorted `label` (bit `i` is `label[i]`);
+/// `0` when the label is wider than a word.
+fn label_mask(label: &[VarId], vars: &[VarId]) -> u64 {
+    if label.len() > 64 {
+        return 0;
+    }
+    vars.iter()
+        .filter_map(|v| label.binary_search(v).ok())
+        .fold(0, |mask, i| mask | 1 << i)
 }
 
 /// A compiled bounded-treewidth evaluation plan for a (typically
@@ -166,6 +181,7 @@ impl DecomposedPlan {
                         rel: g[0].rel,
                         key: p.key.clone(),
                         schema: p.schema.clone(),
+                        var_mask: label_mask(bag, &p.schema),
                     })
                     .collect(),
             });
@@ -539,6 +555,11 @@ mod tests {
             .find(|b| b.label_size == 3)
             .expect("a bag must contain the triangle clique");
         assert_eq!(full.parts.len(), 3);
+        // Each edge part sets two of the label's three bits, and
+        // together they cover the label.
+        assert!(full.parts.iter().all(|p| p.var_mask.count_ones() == 2));
+        let union = full.parts.iter().fold(0, |m, p| m | p.var_mask);
+        assert_eq!(union, 0b111);
         assert!(!plan.bag_summaries().is_empty());
     }
 }

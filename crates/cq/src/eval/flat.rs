@@ -3060,7 +3060,11 @@ impl MaterializationCache {
                     Some(f) => Arc::clone(f),
                     None => {
                         let f = Arc::clone(map.entry(key.clone()).or_default());
-                        drop(map);
+                        // Enter the clock under the map lock: another
+                        // caller can adopt the new flight, land it and
+                        // sweep as soon as the map lock drops, and a
+                        // sweep that cannot find the key on the clock
+                        // leaves the landed entry resident over budget.
                         self.clock
                             .lock()
                             .expect("clock lock poisoned")
@@ -3941,6 +3945,31 @@ mod tests {
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.evictions(), 2);
         assert_eq!(cache.resident_bytes(), 0);
+    }
+
+    /// Regression (clock membership): a new flight enters the clock
+    /// ring in the critical section that inserts it into the map. A
+    /// concurrent caller may adopt the flight, land it and sweep before
+    /// the inserter runs on; a sweep that cannot find the key on the
+    /// clock left the landed entry resident over budget for good.
+    #[test]
+    fn concurrent_landings_respect_budget_at_quiescence() {
+        let keys = three_keys();
+        for round in 0..2_000 {
+            let cache = MaterializationCache::new();
+            cache.set_budget_bytes(1);
+            let barrier = std::sync::Barrier::new(4);
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    let (cache, barrier, key) = (&cache, &barrier, &keys[round % 3]);
+                    s.spawn(move || {
+                        barrier.wait();
+                        cache.get_or_materialize(key, || wide_rel(64, 3));
+                    });
+                }
+            });
+            assert_eq!(cache.resident_bytes(), 0, "round {round}");
+        }
     }
 
     /// Recently-hit entries survive one clock pass (second chance): the

@@ -184,12 +184,12 @@ fn strategy_from_model(
         return MatStrategy::Binary;
     }
     let adom = adom.max(1) as f64;
-    let mut acc_vars: BTreeSet<VarId> = parts[0].1.iter().copied().collect();
     let mut acc_est = parts[0].0 as f64;
     let mut binary = 0.0;
     for (i, &(card, schema)) in parts.iter().enumerate().skip(1) {
+        // Columns whose variable an earlier part already joined in.
         let shared: Vec<usize> = (0..schema.len())
-            .filter(|&j| acc_vars.contains(&schema[j]))
+            .filter(|&j| parts[..i].iter().any(|(_, s)| s.contains(&schema[j])))
             .collect();
         let avg = card as f64 / adom.powi(shared.len() as i32);
         let matches = match max_degrees {
@@ -206,7 +206,6 @@ fn strategy_from_model(
             _ => avg,
         };
         acc_est *= matches;
-        acc_vars.extend(schema.iter().copied());
         binary += acc_est;
     }
     binary += acc_est; // the canonicalizing sort of the final result
